@@ -200,6 +200,10 @@ func cmdRack(args []string) {
 	_ = fs.Parse(args)
 
 	cfg := rack.DefaultConfig()
+	if *shards < 1 || *boxes < cfg.Replicas {
+		fmt.Fprintf(os.Stderr, "rack: -shards must be >= 1, -boxes >= %d (the replication factor)\n", cfg.Replicas)
+		os.Exit(2)
+	}
 	cfg.Boxes = *boxes
 	cfg.Shards = *shards
 	ra := rack.New(cfg, *seed, nil)

@@ -65,6 +65,10 @@ func TestExitCodes(t *testing.T) {
 		{"session", []string{"session"}, 0, "forged bitstream is rejected"},
 		{"trace needs positive probes", []string{"trace", "-probes", "0"}, 1, "must be positive"},
 		{"trace bad dir", []string{"trace", "-dir", "no-such-dir"}, 1, "not a directory"},
+		{"rack", []string{"rack", "-shards", "2", "-boxes", "4"}, 0, "barrier windows"},
+		{"rack no boxes", []string{"rack", "-boxes", "0"}, 2, "-boxes >= "},
+		{"rack fewer boxes than replicas", []string{"rack", "-boxes", "1"}, 2, "-boxes >= "},
+		{"rack no shards", []string{"rack", "-shards", "0"}, 2, "-shards must be >= 1"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,6 +79,9 @@ func TestExitCodes(t *testing.T) {
 			}
 			if !strings.Contains(out, tc.wantOut) {
 				t.Fatalf("output missing %q:\n%s", tc.wantOut, out)
+			}
+			if strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
+				t.Fatalf("output shows a panic:\n%s", out)
 			}
 		})
 	}

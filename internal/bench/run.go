@@ -140,11 +140,6 @@ func MakeReport(workers int, totalWall time.Duration, outs []RunOutcome) Report 
 	return rep
 }
 
-// WriteJSON writes outcomes as a machine-readable report to path.
-func WriteJSON(path string, workers int, totalWall time.Duration, outs []RunOutcome) error {
-	return WriteReport(path, MakeReport(workers, totalWall, outs))
-}
-
 // WriteReport writes an assembled (possibly annotated) report to path.
 func WriteReport(path string, rep Report) error {
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -274,20 +274,6 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
-func TestDemuxRoutingAndMiss(t *testing.T) {
-	var a, b []int
-	d := NewDemux("d", func(it Item) int { return it.Payload.(int) % 3 },
-		func(it Item) { a = append(a, it.Payload.(int)) },
-		func(it Item) { b = append(b, it.Payload.(int)) },
-	)
-	for i := 0; i < 9; i++ {
-		d.Push(Item{Payload: i})
-	}
-	if len(a) != 3 || len(b) != 3 || d.Missed != 3 {
-		t.Fatalf("a=%d b=%d missed=%d, want 3/3/3", len(a), len(b), d.Missed)
-	}
-}
-
 func TestArbiterMergesInputs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var got []int

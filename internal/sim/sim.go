@@ -11,7 +11,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, in picoseconds since simulation start.
@@ -58,9 +57,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // Seconds converts d to floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// FromStd converts a time.Duration to a sim.Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
 
 // EventRef is a generation-stamped handle to a scheduled event. The
 // zero EventRef refers to nothing; Cancel on it (or on a ref whose
