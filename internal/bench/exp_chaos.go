@@ -92,19 +92,21 @@ func chaosNVMeoF(r *Result, seed uint64, rate float64, rec *telemetry.Recorder) 
 		cli.SetRecorder(crec)
 	}
 
-	// Populate, then measure reads.
+	// Populate, then measure reads. Populate is setup, not measurement:
+	// a write whose injected media errors outlast the initiator's
+	// retries is issued again, with the fault plans still armed.
 	block := make([]byte, ncfg.BlockSize)
 	for i := range block {
 		block[i] = byte(i)
 	}
 	const warm = 64
+	var written bool
+	wrote := func(err error) { written = err == nil }
 	for i := 0; i < warm; i++ {
-		ini.Write(int64(i), block, func(err error) {
-			if err != nil {
-				panic(fmt.Sprintf("chaos: populate write %d: %v", i, err))
-			}
-		})
-		eng.Run()
+		for written = false; !written; {
+			ini.Write(int64(i), block, wrote)
+			eng.Run()
+		}
 	}
 
 	const ops = 300

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
@@ -225,6 +226,17 @@ func (w *WFQArbiter) beats(it Item) int64 {
 // schedule its beats. Progress is guaranteed with positive weights —
 // every full round adds at least one beat of credit to each backlogged
 // port, and an item's cost is finite.
+//
+// A quantum is a few beats while an item may cost a thousand, so most
+// rounds can serve nothing. After one full round of visits that served
+// nothing, every backlogged port has visited == false and credit below
+// its head's cost, and no event runs inside next(), so the following
+// rounds are determined: round k = min_p ceil((cost_p − deficit_p) /
+// weight_p) is the first in which some port's credit covers its head,
+// and rounds 1..k−1 only add weight_p to each backlogged deficit. The
+// scheduler grants those k−1 rounds of credit in one step and runs
+// round k as usual, from the same w.rr, so it makes exactly the
+// decisions the round-by-round loop makes.
 func (w *WFQArbiter) next() {
 	n := len(w.ports)
 	backlog := false
@@ -238,12 +250,29 @@ func (w *WFQArbiter) next() {
 		w.busy = false
 		return
 	}
+	idle := 0 // consecutive visits that served nothing
 	for {
+		if idle == n {
+			k := int64(math.MaxInt64)
+			for _, p := range w.ports {
+				if p.len() > 0 {
+					need := w.beats(p.queue[p.head]) - p.deficit
+					k = min(k, (need+int64(p.weight)-1)/int64(p.weight))
+				}
+			}
+			for _, p := range w.ports {
+				if p.len() > 0 {
+					p.deficit += (k - 1) * int64(p.weight)
+				}
+			}
+			idle = 0
+		}
 		p := w.ports[w.rr]
 		if p.len() == 0 {
 			p.deficit = 0
 			p.visited = false
 			w.rr = (w.rr + 1) % n
+			idle++
 			continue
 		}
 		if !p.visited {
@@ -254,6 +283,7 @@ func (w *WFQArbiter) next() {
 		if p.deficit < cost {
 			p.visited = false
 			w.rr = (w.rr + 1) % n
+			idle++
 			continue
 		}
 		p.deficit -= cost

@@ -210,3 +210,234 @@ func TestWFQDeterministicAndTelemetryNeutral(t *testing.T) {
 		t.Fatal("armed recorder captured no spans")
 	}
 }
+
+// refWFQ is the round-by-round DRR scheduler WFQArbiter ran before the
+// skip-ahead: every loop iteration visits one port and grants at most
+// one quantum. It is the reference TestWFQSkipAheadMatchesReference
+// holds the arbiter to, decision for decision.
+type refWFQ struct {
+	eng    *sim.Engine
+	period sim.Duration
+	width  int
+	depth  int
+	ports  []*wfqPort
+	rr     int
+	busy   bool
+	cur    Item
+	plan   *fault.Plan
+	sink   func(Item)
+	onDrop func(Item)
+}
+
+func newRefWFQ(eng *sim.Engine, clockHz int64, width, depth, n int, out func(Item)) *refWFQ {
+	r := &refWFQ{eng: eng, period: sim.Duration(int64(sim.Second) / clockHz), width: width, depth: depth, sink: out}
+	for i := 0; i < n; i++ {
+		r.ports = append(r.ports, &wfqPort{weight: 1})
+	}
+	return r
+}
+
+func (r *refWFQ) Push(i int, it Item) error {
+	p := r.ports[i]
+	if p.len() >= r.depth {
+		return ErrStreamFull
+	}
+	p.queue = append(p.queue, it)
+	if !r.busy {
+		r.busy = true
+		r.next()
+	}
+	return nil
+}
+
+func (r *refWFQ) SetWeight(i, weight int) { r.ports[i].weight = weight }
+
+func (r *refWFQ) Flush(i int) []Item {
+	p := r.ports[i]
+	var out []Item
+	for p.len() > 0 {
+		it, _ := p.pop()
+		out = append(out, it)
+	}
+	p.deficit = 0
+	p.visited = false
+	return out
+}
+
+func (r *refWFQ) next() {
+	n := len(r.ports)
+	backlog := false
+	for _, p := range r.ports {
+		if p.len() > 0 {
+			backlog = true
+			break
+		}
+	}
+	if !backlog {
+		r.busy = false
+		return
+	}
+	for {
+		p := r.ports[r.rr]
+		if p.len() == 0 {
+			p.deficit = 0
+			p.visited = false
+			r.rr = (r.rr + 1) % n
+			continue
+		}
+		if !p.visited {
+			p.deficit += int64(p.weight)
+			p.visited = true
+		}
+		cost := int64(max(1, (p.queue[p.head].Bytes+r.width-1)/r.width))
+		if p.deficit < cost {
+			p.visited = false
+			r.rr = (r.rr + 1) % n
+			continue
+		}
+		p.deficit -= cost
+		r.cur, _ = p.pop()
+		r.eng.After(sim.Duration(cost)*r.period, "ref", r.deliver)
+		return
+	}
+}
+
+func (r *refWFQ) deliver() {
+	it := r.cur
+	r.cur = Item{}
+	if r.plan.Roll(fault.Drop) {
+		r.onDrop(it)
+	} else {
+		r.sink(it)
+	}
+	r.next()
+}
+
+// wfqUnderTest is what the differential script drives: the arbiter or
+// the reference.
+type wfqUnderTest interface {
+	Push(i int, it Item) error
+	Flush(i int) []Item
+	SetWeight(i, weight int)
+}
+
+// wfqBuilder makes a scheduler with n weight-1 ports on eng, wired to
+// the fault plan and the sink and drop observers.
+type wfqBuilder func(eng *sim.Engine, n int, plan *fault.Plan, sink, drop func(Item)) wfqUnderTest
+
+// wfqEvent is one observable outcome of a script: a delivery, a fault
+// drop, a refused push or a flushed item, with its sim time.
+type wfqEvent struct {
+	kind     byte // 'd' delivered, 'x' dropped, 'f' flushed, 'r' refused
+	port, id int
+	at       sim.Time
+}
+
+type wfqTag struct{ port, id int }
+
+// runWFQScript replays one seeded script against a scheduler built by
+// mk. The script pushes 1 B–64 KiB items at random times over 16 or fewer
+// ports of weight 1–16, flushes one port mid-backlog and re-admits it
+// with a new weight, and arms a Drop fault plan on odd seeds.
+func runWFQScript(seed uint64, mk wfqBuilder) []wfqEvent {
+	rng := sim.NewRand(seed)
+	eng := sim.NewEngine(seed)
+	n := 2 + rng.Intn(15)
+	var plan *fault.Plan
+	if seed%2 == 1 {
+		plan = fault.NewPlan(seed, "wfq").Set(fault.Drop, 0.1)
+	}
+	var log []wfqEvent
+	obs := func(kind byte) func(Item) {
+		return func(it Item) {
+			tg := it.Payload.(wfqTag)
+			log = append(log, wfqEvent{kind, tg.port, tg.id, eng.Now()})
+		}
+	}
+	w := mk(eng, n, plan, obs('d'), obs('x'))
+	for i := 0; i < n; i++ {
+		w.SetWeight(i, 1+rng.Intn(16))
+	}
+	const pushes = 600
+	const horizon = 100 * sim.Microsecond // ~1.4× the bus capacity: backlogs build
+	for id := 0; id < pushes; id++ {
+		port := rng.Intn(n)
+		bytes := 1 + rng.Intn(1<<rng.Intn(17)) // log-uniform over 1 B..64 KiB
+		at := sim.Time(rng.Intn(int(horizon)))
+		it := Item{Payload: wfqTag{port, id}, Bytes: bytes}
+		eng.At(at, "push", func() {
+			if w.Push(it.Payload.(wfqTag).port, it) != nil {
+				obs('r')(it)
+			}
+		})
+	}
+	victim := rng.Intn(n)
+	reweight := 1 + rng.Intn(16)
+	eng.At(sim.Time(horizon/2), "flush", func() {
+		for _, it := range w.Flush(victim) {
+			obs('f')(it)
+		}
+		w.SetWeight(victim, reweight)
+	})
+	eng.Run()
+	return log
+}
+
+func TestWFQSkipAheadMatchesReference(t *testing.T) {
+	const clock, width, depth = 250_000_000, 64, 32
+	arb := func(eng *sim.Engine, n int, plan *fault.Plan, sink, drop func(Item)) wfqUnderTest {
+		w := NewWFQArbiter(eng, "t", clock, width, depth, n, sink)
+		w.SetFaultPlan(plan)
+		w.SetOnDrop(drop)
+		return w
+	}
+	ref := func(eng *sim.Engine, n int, plan *fault.Plan, sink, drop func(Item)) wfqUnderTest {
+		r := newRefWFQ(eng, clock, width, depth, n, sink)
+		r.plan, r.onDrop = plan, drop
+		return r
+	}
+	var kinds [256]int
+	for seed := uint64(1); seed <= 24; seed++ {
+		got := runWFQScript(seed, arb)
+		want := runWFQScript(seed, ref)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d = %+v, reference %+v", seed, i, got[i], want[i])
+			}
+			kinds[want[i].kind]++
+		}
+	}
+	// The scripts must reach every outcome they are meant to compare.
+	for _, k := range []byte{'d', 'x', 'f', 'r'} {
+		if kinds[k] == 0 {
+			t.Fatalf("no %q events across the scripts", k)
+		}
+	}
+}
+
+// BenchmarkWFQLargeItems measures the scheduler where quanta are far
+// below item costs: a weight-1 port of 64 KiB items (1,024 beats each)
+// against 15 backlogged ports of weight 1–4 moving 4 KiB items.
+func BenchmarkWFQLargeItems(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine(1)
+		w := NewWFQArbiter(eng, "b", 250_000_000, 64, 64, 16, func(Item) {})
+		for p := 1; p < 16; p++ {
+			w.SetWeight(p, 1+p%4)
+		}
+		for j := 0; j < 16; j++ {
+			_ = w.Push(0, Item{Bytes: 64 << 10})
+			for p := 1; p < 16; p++ {
+				_ = w.Push(p, Item{Bytes: 4 << 10})
+			}
+		}
+		eng.Run()
+		if w.Delivered != 16*16 {
+			b.Fatalf("delivered %d of %d", w.Delivered, 16*16)
+		}
+	}
+}
