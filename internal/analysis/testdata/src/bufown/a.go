@@ -285,6 +285,43 @@ func escapesToFieldStore(t *tx) {
 	t.buf = b
 }
 
+// Context custody, the NVMe read-buffer shape: a pooled command
+// context holds a buffer from one event of the command to a later one.
+// The //wire:takes helper is where custody visibly moves onto the
+// context; the completion event releases it after delivering.
+
+type cmdCtx struct {
+	buf *wire.Buf
+}
+
+// hold parks b on the context until complete releases it.
+//
+//wire:takes b
+func (c *cmdCtx) hold(b *wire.Buf) { c.buf = b }
+
+func (c *cmdCtx) fill() {
+	c.hold(pool.Get(8))
+	c.buf.Bytes()[0] = 1
+}
+
+func (c *cmdCtx) complete(deliver func([]byte)) {
+	b := c.buf
+	c.buf = nil
+	deliver(b.Bytes())
+	b.Release()
+}
+
+func (c *cmdCtx) fillUnannotated() {
+	c.buf = pool.Get(8) // want `c\.buf is not released on every path`
+}
+
+//wire:takes b
+func (c *cmdCtx) holdSometimes(b *wire.Buf, ok bool) { // want `b is not released on every path`
+	if ok {
+		c.buf = b
+	}
+}
+
 func suppressedLeak(bad bool) {
 	//hyperlint:allow(bufown) golden test: the pool is torn down wholesale after this
 	b := pool.Get(8)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -242,4 +243,39 @@ func BenchmarkFig2Probe(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+func TestFig2ResponseOutlivesDeviceBuffer(t *testing.T) {
+	// The device lends read payloads for the completion callback only;
+	// the probe's response leaves at egress, so it must carry its own
+	// copy that a later read's reuse of the buffer cannot touch.
+	eng, _, d := bootTest(t)
+	if err := d.LoadAccelerator(0, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
+		t.Fatal(err)
+	}
+	first, second := bytes.Repeat([]byte{0x5A}, 4096), bytes.Repeat([]byte{0xC3}, 4096)
+	_ = d.Hosts[1].Write(0, 100, first, nil)
+	_ = d.Hosts[1].Write(0, 200, second, nil)
+	eng.Run()
+	var held []byte
+	probe := func(lba int64, keep bool) {
+		t.Helper()
+		err := d.Fig2Probe(0, 1, lba, 1, func(_ Fig2Trace, data []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			if keep {
+				held = data
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	probe(100, true)
+	probe(200, false)
+	if !bytes.Equal(held, first) {
+		t.Fatal("fig2 response changed after a later read reused the device buffer")
+	}
 }

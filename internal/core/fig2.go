@@ -123,7 +123,9 @@ func (c *fig2Ctx) onRead(data []byte, st uint16) {
 	if d.rec != nil {
 		d.rec.Span("fig2", "storage", c.span, c.t2, c.t3)
 	}
-	c.data = data
+	// The response leaves at egress, after the device has reclaimed
+	// data, so the probe keeps a copy.
+	c.data = append([]byte(nil), data...)
 	// Stage 4: response egress serialization on QSFP.
 	respBytes := len(data) + 64
 	egress := sim.Duration(float64(respBytes) / 12.5e9 * float64(sim.Second))

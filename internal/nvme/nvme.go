@@ -12,6 +12,7 @@ import (
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
 	"hyperion/internal/telemetry"
+	"hyperion/internal/wire"
 )
 
 // Opcodes (a small, structurally faithful subset of NVMe I/O commands).
@@ -104,10 +105,16 @@ func opName(op uint8) string {
 }
 
 // Completion is a completion-queue entry delivered to the host.
+//
+// Data is the read payload (nil for every other opcode and every
+// failed command). It is a loan from the device's read-buffer pool:
+// valid only while the completion callback runs, after which the
+// device recycles it for a later read. A consumer that keeps the bytes
+// past the callback copies them.
 type Completion struct {
 	CID    uint16
 	Status uint16
-	Data   []byte // read payload; nil otherwise
+	Data   []byte
 }
 
 // Device is the SSD model. It implements pcie.Device. All methods must
@@ -140,6 +147,10 @@ type Device struct {
 
 	evName  string // precomputed event name for all device-side events
 	ctxFree []*cmdCtx
+	// rbufs lends read payloads: a buffer is taken when flash has the
+	// data and returns once the completion callback has run. A device
+	// lives on one engine, so the pool is shard-local.
+	rbufs *wire.Pool
 
 	Counters sim.CounterSet
 }
@@ -189,6 +200,7 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		channels: make([]sim.Time, cfg.Channels),
 		store:    make(map[int64][]byte),
 		evName:   "nvme:" + cfg.Name,
+		rbufs:    wire.NewPool(cfg.BlockSize),
 	}
 	for i := 0; i < cfg.MaxQueuePairs; i++ {
 		d.queues = append(d.queues, &queuePair{id: i, depth: cfg.QueueDepth})
@@ -277,6 +289,9 @@ type cmdCtx struct {
 	start  sim.Time
 	status uint16
 	data   []byte
+	// rbuf backs data for a successful read, from readDone until
+	// complete releases it after the interrupt callback returns.
+	rbuf *wire.Buf
 
 	wscratch []byte // reusable write-payload copy, capacity kept
 
@@ -307,6 +322,8 @@ func (d *Device) getCtx(qp *queuePair, cmd Command) *cmdCtx {
 }
 
 // complete posts the completion interrupt and recycles the context.
+// A read's payload buffer goes back to the pool only after the
+// interrupt returns: the callback's extent is the loan.
 func (c *cmdCtx) complete() {
 	d := c.d
 	c.qp.inFlight--
@@ -315,13 +332,16 @@ func (c *cmdCtx) complete() {
 	if d.rec != nil {
 		d.rec.Span("nvme.dev", opName(c.cmd.Opcode), c.cmd.Span, c.start, d.eng.Now())
 	}
-	qid := c.qp.id
-	c.data = nil
+	qid, rbuf := c.qp.id, c.rbuf
+	c.data, c.rbuf = nil, nil
 	c.cmd = Command{}
 	c.qp = nil
 	d.ctxFree = append(d.ctxFree, c)
 	if d.interrupt != nil {
 		d.interrupt(qid, cpl)
+	}
+	if rbuf != nil {
+		rbuf.Release()
 	}
 }
 
@@ -434,10 +454,15 @@ func (d *Device) accessFlash(c *cmdCtx) {
 	}
 }
 
-// readDone fires when the slowest flash channel has the data.
+// readDone fires when the slowest flash channel has the data: the
+// blocks are copied once, into a pooled buffer the context holds until
+// complete.
 func (c *cmdCtx) readDone() {
 	d := c.d
-	data := d.readStore(c.cmd.LBA, c.cmd.Blocks)
+	n := c.cmd.Blocks * d.cfg.BlockSize
+	c.hold(d.rbufs.Get(n))
+	data := c.rbuf.Bytes()
+	d.ReadSyncAt(data, c.cmd.LBA, 0)
 	if d.plan.Roll(fault.Corrupt) && len(data) > 0 {
 		// Transient in-flight corruption: the returned copy is
 		// damaged, the store is not, so a checksum-driven reread
@@ -446,8 +471,14 @@ func (c *cmdCtx) readDone() {
 		data[d.plan.Pick(len(data))] ^= 0xA5
 	}
 	c.status, c.data = StatusOK, data
-	d.transfer(int64(c.cmd.Blocks)*int64(d.cfg.BlockSize), c.completeFn)
+	d.transfer(int64(n), c.completeFn)
 }
+
+// hold parks a read's payload buffer on the context; complete
+// releases it once the interrupt callback has returned.
+//
+//wire:takes b
+func (c *cmdCtx) hold(b *wire.Buf) { c.rbuf = b }
 
 // writeXfer fires when the write payload has crossed the link.
 func (c *cmdCtx) writeXfer() {
@@ -469,24 +500,6 @@ func (d *Device) transfer(size int64, done func()) {
 
 func (d *Device) after(delay sim.Duration, fn func()) {
 	d.eng.After(delay, d.evName, fn)
-}
-
-func (d *Device) readStore(lba int64, blocks int) []byte {
-	out := make([]byte, blocks*d.cfg.BlockSize)
-	d.readStoreInto(out, lba, blocks)
-	return out
-}
-
-func (d *Device) readStoreInto(dst []byte, lba int64, blocks int) {
-	bs := d.cfg.BlockSize
-	for i := 0; i < blocks; i++ {
-		span := dst[i*bs : (i+1)*bs]
-		if b, ok := d.store[lba+int64(i)]; ok {
-			copy(span, b)
-		} else {
-			clear(span) // unwritten blocks read back as zeros
-		}
-	}
 }
 
 func (d *Device) writeStore(lba int64, data []byte) {
@@ -513,20 +526,46 @@ func (d *Device) StoredBlocks() int { return len(d.store) }
 // latency separately; these accessors move bytes without going through
 // the queue-pair machinery. AccessCost supplies the matching latency.
 
-// ReadSync returns the payload of blocks [lba, lba+n) immediately.
-func (d *Device) ReadSync(lba int64, blocks int) []byte {
-	return d.readStore(lba, blocks)
-}
-
-// ReadSyncInto copies blocks [lba, lba+n) into dst, which must hold at
-// least n full blocks. It is the allocation-free form of ReadSync.
-func (d *Device) ReadSyncInto(dst []byte, lba int64, blocks int) {
-	d.readStoreInto(dst, lba, blocks)
+// ReadSyncAt copies len(dst) bytes starting byteOff bytes into block
+// lba, and nothing else: no covering block is copied whole. Unwritten
+// blocks read back as zeros.
+func (d *Device) ReadSyncAt(dst []byte, lba, byteOff int64) {
+	bs := int64(d.cfg.BlockSize)
+	blk, in := lba+byteOff/bs, byteOff%bs
+	for len(dst) > 0 {
+		span := dst[:min(int64(len(dst)), bs-in)]
+		if b, ok := d.store[blk]; ok {
+			copy(span, b[in:])
+		} else {
+			clear(span)
+		}
+		dst = dst[len(span):]
+		blk, in = blk+1, 0
+	}
 }
 
 // WriteSync stores data at lba immediately.
 func (d *Device) WriteSync(lba int64, data []byte) {
 	d.writeStore(lba, data)
+}
+
+// WriteSyncAt stores data starting byteOff bytes into block lba,
+// leaving the rest of every touched block as it was (zeros if it was
+// never written). Every block the range touches becomes stored, and an
+// empty data still stores the block holding byteOff: the effect of
+// reading the covering blocks, merging, and writing them back.
+func (d *Device) WriteSyncAt(lba, byteOff int64, data []byte) {
+	bs := int64(d.cfg.BlockSize)
+	blk, in := lba+byteOff/bs, byteOff%bs
+	for first := true; first || len(data) > 0; first = false {
+		b := d.store[blk]
+		if b == nil {
+			b = make([]byte, bs)
+			d.store[blk] = b
+		}
+		data = data[copy(b[in:], data):]
+		blk, in = blk+1, 0
+	}
 }
 
 // AccessCost models the device-side latency of reading or writing n
@@ -678,7 +717,10 @@ func (h *Host) putOp(op *hostOp) {
 	h.opFree = append(h.opFree, op)
 }
 
-// Read reads blocks starting at lba on queue q.
+// Read reads blocks starting at lba on queue q. cb's data is lent for
+// the callback's extent only (see Completion): the device reuses the
+// buffer for a later read once cb returns, so a caller that keeps the
+// bytes copies them.
 func (h *Host) Read(q int, lba int64, blocks int, cb func(data []byte, status uint16)) error {
 	return h.ReadSpan(q, lba, blocks, 0, cb)
 }

@@ -37,7 +37,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if st != StatusOK {
 			t.Errorf("read status %#x", st)
 		}
-		got = data
+		got = append([]byte(nil), data...) // data is lent for the callback only
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestUnwrittenBlocksReadZero(t *testing.T) {
 	eng, _, h := newDev(t)
 	var got []byte
-	_ = h.Read(0, 999, 1, func(data []byte, st uint16) { got = data })
+	_ = h.Read(0, 999, 1, func(data []byte, st uint16) { got = append([]byte(nil), data...) })
 	eng.Run()
 	if len(got) != 4096 {
 		t.Fatalf("len = %d", len(got))

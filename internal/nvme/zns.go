@@ -153,7 +153,7 @@ func (z *ZNS) WriteAt(lba int64, data []byte, cb func(err error)) error {
 }
 
 // Read returns blocks, rejecting reads beyond the write pointer or
-// across a zone boundary.
+// across a zone boundary. cb's data is the caller's own copy.
 func (z *ZNS) Read(lba int64, blocks int, cb func(data []byte, err error)) error {
 	zi := int(lba / z.zoneBlocks)
 	if zi < 0 || zi >= len(z.zones) {
@@ -172,7 +172,8 @@ func (z *ZNS) Read(lba int64, blocks int, cb func(data []byte, err error)) error
 			cb(nil, fmt.Errorf("zns: device status %#x", st))
 			return
 		}
-		cb(data, nil)
+		// data is the device's loan; the caller gets its own copy.
+		cb(append([]byte(nil), data...), nil)
 	})
 }
 

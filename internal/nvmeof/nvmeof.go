@@ -124,7 +124,9 @@ func (op *tgtOp) onRead(data []byte, st uint16) {
 		respond(nil, 0, fmt.Errorf("%w %#x", ErrStatus, st))
 		return
 	}
-	respond(data, len(data)+64, nil)
+	// The response outlives this callback and data is the device's
+	// loan, so the reply carries a copy.
+	respond(append([]byte(nil), data...), len(data)+64, nil)
 }
 
 func (op *tgtOp) onStatus(st uint16) {

@@ -133,10 +133,13 @@ func TestRoundTripAllocFree(t *testing.T) {
 	// With telemetry disarmed, a full write+flush round trip —
 	// initiator capsule → rpc envelope → transport frames → target
 	// handler → nvme device and back — must run entirely out of the
-	// free lists. Reads are exempt from the pin: the device returns a
-	// freshly owned copy of the data by contract, which is one
-	// deliberate allocation. The first laps warm every pool on the
-	// path (wire capsules, rpc calls, reassembly, nvme contexts).
+	// free lists. Reads are exempt from the pin: the device only lends
+	// its read buffer for the completion callback, and the target's rpc
+	// response outlives that, so the target copies the payload — one
+	// deliberate allocation (the device side itself is pinned at zero
+	// by nvme's TestReadRoundTripAllocFree). The first laps warm every
+	// pool on the path (wire capsules, rpc calls, reassembly, nvme
+	// contexts).
 	eng, _, ini := rig(t, transport.RDMA)
 	var werr, ferr error
 	wcb := func(err error) { werr = err }
@@ -160,5 +163,37 @@ func TestRoundTripAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("transport→rpc→nvmeof round trip allocates %v/op; want 0", allocs)
+	}
+}
+
+func TestReadResultOutlivesDeviceBuffer(t *testing.T) {
+	// The target answers from a buffer the device lends only for the
+	// completion callback; the initiator's result must be a copy that
+	// the next read's reuse of that buffer leaves intact.
+	eng, _, ini := rig(t, transport.RDMA)
+	first, second := bytes.Repeat([]byte{0x11}, 4096), bytes.Repeat([]byte{0xEE}, 4096)
+	ini.Write(10, first, func(error) {})
+	ini.Write(20, second, func(error) {})
+	eng.Run()
+	var held, next []byte
+	ini.Read(10, 1, func(data []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		held = data
+	})
+	eng.Run()
+	ini.Read(20, 1, func(data []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		next = data
+	})
+	eng.Run()
+	if !bytes.Equal(next, second) {
+		t.Fatal("second read mismatch")
+	}
+	if !bytes.Equal(held, first) {
+		t.Fatal("first read's result changed after the device reused its buffer")
 	}
 }

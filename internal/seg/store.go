@@ -341,7 +341,10 @@ func (s *Store) Read(id ObjectID, off, length int64, cb func(data []byte, err er
 				cb(nil, fmt.Errorf("seg: nvme read status %#x", st))
 				return
 			}
-			cb(data[skip:skip+length], nil)
+			// data is the device's loan; the caller gets its own copy.
+			out := make([]byte, length)
+			copy(out, data[skip:])
+			cb(out, nil)
 		})
 	})
 }

@@ -21,7 +21,6 @@ import (
 type SyncView struct {
 	s    *Store
 	cost sim.Duration
-	rmw  []byte // scratch for read-modify-write edges in WriteAt
 
 	// Op counters for experiment reporting.
 	Reads, Writes           int64
@@ -36,6 +35,14 @@ func grow(buf []byte, n int64) []byte {
 		return make([]byte, n)
 	}
 	return buf[:n]
+}
+
+// coverBlocks is the number of device blocks a byte range [off,
+// off+length) of an NVMe segment touches; an empty range still costs
+// one block.
+func (s *Store) coverBlocks(off, length int64) int {
+	bs := int64(s.cfg.BlockSize)
+	return max(int((off+length+bs-1)/bs-off/bs), 1)
 }
 
 // NewSyncView creates a view over s.
@@ -104,26 +111,19 @@ func (v *SyncView) ReadAtBuf(id ObjectID, off, length int64, buf []byte) ([]byte
 		return out, nil
 	}
 	dev, lba := v.s.split(sg.Addr)
-	bs := int64(v.s.cfg.BlockSize)
-	first := lba + off/bs
-	nblocks := int((off+length+bs-1)/bs - off/bs)
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	skip := off % bs
 	d := v.s.devs[dev].Device()
-	v.cost += d.AccessCost(nvme.OpRead, nblocks)
+	// The modeled device reads every covering block; the host copies
+	// only the requested range.
+	v.cost += d.AccessCost(nvme.OpRead, v.s.coverBlocks(off, length))
 	v.DevReads++
-	data := grow(buf, int64(nblocks)*bs)
-	d.ReadSyncInto(data, first, nblocks)
-	// Slide the payload to the buffer base so the result can be handed
-	// back as the next call's scratch without losing capacity.
-	copy(data, data[skip:skip+length])
-	return data[:length], nil
+	out := grow(buf, length)
+	d.ReadSyncAt(out, lba, off)
+	return out, nil
 }
 
-// WriteAt stores data at off in the object (read-modify-write for
-// unaligned NVMe edges, with the extra read charged).
+// WriteAt stores data at off in the object. Unaligned NVMe edges are
+// charged as a read-modify-write of the covering blocks; the bytes
+// themselves are merged into the stored blocks in place.
 func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
 	sg, tc, err := v.s.Lookup(id)
 	v.cost += tc
@@ -143,28 +143,18 @@ func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
 	}
 	dev, lba := v.s.split(sg.Addr)
 	bs := int64(v.s.cfg.BlockSize)
-	first := lba + off/bs
-	nblocks := int((off+length+bs-1)/bs - off/bs)
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	skip := off % bs
+	nblocks := v.s.coverBlocks(off, length)
 	d := v.s.devs[dev].Device()
-	if skip == 0 && length%bs == 0 {
+	if off%bs == 0 && length%bs == 0 {
 		v.cost += d.AccessCost(nvme.OpWrite, nblocks)
 		v.DevWrites++
-		d.WriteSync(first, data)
+		d.WriteSync(lba+off/bs, data)
 		return nil
 	}
-	// RMW: read covering blocks, merge, write back.
 	v.cost += d.AccessCost(nvme.OpRead, nblocks) + d.AccessCost(nvme.OpWrite, nblocks)
 	v.DevReads++
 	v.DevWrites++
-	old := grow(v.rmw, int64(nblocks)*bs)
-	v.rmw = old
-	d.ReadSyncInto(old, first, nblocks)
-	copy(old[skip:], data)
-	d.WriteSync(first, old)
+	d.WriteSyncAt(lba, off, data)
 	return nil
 }
 
